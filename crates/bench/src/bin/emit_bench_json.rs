@@ -615,11 +615,12 @@ fn write_serving_json(cells: &[ServingCell], quick: bool, out_path: &str) {
     let mut json = String::new();
     let note = format!(
         "client-observed latency of {}-key gathers from {} concurrent TCP clients against \
-         a cold-SSD table ({}us/request simulated SSD); batching=per_request pins the \
-         server's micro-batch window at 1, batching=fused lets the adaptive window fuse \
-         requests across clients into one engine gather per tick (fused_keys_per_tick is \
-         measured from the batcher's metrics); load=heavy is a closed loop, load=light \
-         adds 1ms client think time",
+         a cold-SSD table ({}us/request simulated SSD); batching=per_request caps the \
+         server's batcher at max_batch=1, batching=fused lets the self-clocking batcher \
+         fuse every request that queued during the previous tick into one engine gather \
+         (up to 256 per tick; fused_keys_per_tick is measured from the batcher's \
+         metrics); load=heavy is a closed loop, load=light adds 1ms client think time; \
+         each row is a single run",
         serving::KEYS_PER_REQUEST,
         serving::CLIENTS,
         mlkv_bench::io_coalesce::READ_LATENCY.as_micros(),

@@ -5,11 +5,10 @@
 //! keys per request — the per-request fan-out of a recommender inference
 //! tier) against one larger-than-memory table on a simulated SSD. Dispatched
 //! per-request, every gather pays its own device round trips; batched across
-//! requests by the server's micro-batch window, the fused gather hands the
+//! requests by the server's self-clocking batcher, the fused gather hands the
 //! engine one large batch whose cold reads coalesce. The comparison is
-//! `batching = per_request` (window pinned at 1, no wait) vs
-//! `batching = fused` (adaptive window) on the same table, clients, and
-//! offered load.
+//! `batching = per_request` (`max_batch(1)`) vs `batching = fused` (the
+//! default cap) on the same table, clients, and offered load.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -33,8 +32,8 @@ pub enum Load {
     /// Closed loop, zero think time: each client fires as fast as replies
     /// arrive.
     Heavy,
-    /// 1 ms think time between requests: arrivals are sparse, so windows
-    /// close mostly by timeout.
+    /// 1 ms think time between requests: arrivals are sparse, so most
+    /// requests find the batcher idle and run alone.
     Light,
 }
 
@@ -81,19 +80,10 @@ pub fn start_server(backend: BackendKind, fused: bool) -> ServerHandle {
     let mut builder = ServerBuilder::new(backend, io_coalesce::DIM)
         .table(table)
         .queue_capacity(4096);
-    builder = if fused {
-        builder
-            .window_initial(CLIENTS)
-            .window_max(256)
-            .window_wait(Duration::from_micros(200))
-    } else {
-        // Per-request dispatch: one request per tick, no window.
-        builder
-            .window_initial(1)
-            .window_max(1)
-            .window_wait(Duration::ZERO)
-            .adaptive_window(false)
-    };
+    if !fused {
+        // Per-request dispatch: one request per tick.
+        builder = builder.max_batch(1);
+    }
     builder.serve("127.0.0.1:0").expect("loopback serve")
 }
 
@@ -157,7 +147,7 @@ pub fn run_serving(
 ) -> ServingMeasurement {
     let handle = start_server(backend, fused);
     let addr = handle.local_addr();
-    // Unmeasured warmup settles the adaptive window and the engine caches.
+    // Unmeasured warmup settles the engine caches.
     let warmup = (requests_per_client / 4).max(2);
     let _ = drive_clients(addr, warmup, load);
     handle.metrics().reset();

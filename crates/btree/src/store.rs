@@ -164,14 +164,14 @@ impl BtreeStore {
         };
         if let Some(dir) = store.config.dir.clone() {
             store.replay_journal(&dir)?;
-            if store.config.effective_durability() != DurabilityMode::None {
+            if store.config.durability != DurabilityMode::None {
                 let gens = journal_generations(&dir);
                 let gen = gens.last().map(|g| g + 1).unwrap_or(0);
                 let device = device_from_config(&store.config, &journal_file_name(gen))?;
                 store.journal = Some(RwLock::new(JournalHandle {
                     writer: WalWriter::new(
                         device,
-                        store.config.effective_durability(),
+                        store.config.durability,
                         Arc::clone(&store.metrics),
                     )
                     .with_tap(store.config.wal_tap.clone()),
@@ -272,12 +272,9 @@ impl BtreeStore {
                 let mut handle = journal.write();
                 let old_gen = handle.gen;
                 let device = device_from_config(&self.config, &journal_file_name(old_gen + 1))?;
-                handle.writer = WalWriter::new(
-                    device,
-                    self.config.effective_durability(),
-                    Arc::clone(&self.metrics),
-                )
-                .with_tap(self.config.wal_tap.clone());
+                handle.writer =
+                    WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
+                        .with_tap(self.config.wal_tap.clone());
                 handle.gen = old_gen + 1;
                 drop(handle);
                 for gen in journal_generations(&dir) {
@@ -877,7 +874,7 @@ impl KvStore for BtreeStore {
         let tree = self.tree.write();
         self.pool.flush_all()?;
         self.meta_device.write_at(0, &self.encode_meta(&tree))?;
-        if self.config.effective_durability() != DurabilityMode::None {
+        if self.config.durability != DurabilityMode::None {
             // Harden the base files *before* rotating the journal away: until
             // both syncs return, the journal is the only durable copy of the
             // pages flushed above.

@@ -55,7 +55,7 @@ pub struct HybridLog {
     alloc_lock: Mutex<()>,
     planner: IoPlanner,
     metrics: Arc<StorageMetrics>,
-    sync_writes: bool,
+    eager_page_sync: bool,
 }
 
 impl HybridLog {
@@ -66,7 +66,7 @@ impl HybridLog {
         device: Arc<dyn Device>,
         memory_budget: usize,
         page_size: usize,
-        sync_writes: bool,
+        eager_page_sync: bool,
         planner: IoPlanner,
         metrics: Arc<StorageMetrics>,
     ) -> StorageResult<Self> {
@@ -97,7 +97,7 @@ impl HybridLog {
             alloc_lock: Mutex::new(()),
             planner,
             metrics,
-            sync_writes,
+            eager_page_sync,
         };
         // Materialize the first page frame.
         {
@@ -155,7 +155,7 @@ impl HybridLog {
         let offset = frame.page_index * self.page_size as u64;
         self.device.write_at(offset, &frame.data)?;
         self.metrics.record_disk_write(self.page_size as u64);
-        if self.sync_writes {
+        if self.eager_page_sync {
             self.device.sync()?;
         }
         frame.dirty = false;
@@ -225,8 +225,10 @@ impl HybridLog {
 
     /// Move `head` and `read_only` forward given the new tail.
     fn advance_boundaries(&self, new_tail: u64) {
-        // Head: the oldest page that still has a frame is `page(tail) - num_frames + 1`.
-        let tail_page = new_tail / self.page_size as u64;
+        // Head: the oldest page that still has a frame is
+        // `page(last byte) - num_frames + 1`. A tail on a page boundary has not
+        // installed the next page yet, so the page it just filled is the newest.
+        let tail_page = new_tail.saturating_sub(1) / self.page_size as u64;
         let head_page = tail_page.saturating_sub(self.num_frames as u64 - 1);
         let new_head = head_page * self.page_size as u64;
         self.head.fetch_max(new_head, Ordering::AcqRel);
@@ -422,7 +424,7 @@ impl HybridLog {
             let mut frame = frame_lock.write();
             self.flush_frame(&mut frame)?;
         }
-        if self.sync_writes {
+        if self.eager_page_sync {
             self.device.sync()?;
         }
         Ok(())
@@ -802,6 +804,29 @@ mod tests {
         let hot = *addrs.last().unwrap();
         assert!(log.read_record_memory(hot).unwrap().is_some());
         assert!(log.read_record_memory(Address::INVALID).is_err());
+    }
+
+    #[test]
+    fn append_ending_on_page_boundary_keeps_unflushed_page_in_memory() {
+        // 32-byte records fill 256-byte pages exactly, so every eighth append
+        // ends on a page boundary before the next page is installed. The
+        // oldest resident page has not been flushed yet and must still be
+        // read from its frame, not from the device.
+        let log = new_log(8 * 256, 256);
+        let mut addrs = Vec::new();
+        for key in 0..200u64 {
+            let rec = Record::new(key, key.to_le_bytes().to_vec(), Address::INVALID);
+            let encoded = rec.encode();
+            assert_eq!(encoded.len(), 32);
+            addrs.push((key, log.append(&encoded).unwrap()));
+            for &(k, addr) in &addrs {
+                let (rec, _) = log
+                    .read_record(addr)
+                    .unwrap_or_else(|e| panic!("key {k} after {} appends: {e}", key + 1));
+                assert_eq!(rec.key, k, "after {} appends", key + 1);
+                assert_eq!(rec.value, k.to_le_bytes());
+            }
+        }
     }
 
     #[test]

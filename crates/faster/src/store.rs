@@ -86,15 +86,11 @@ impl FasterKv {
     pub fn open(config: StoreConfig) -> StorageResult<Self> {
         let metrics = Arc::new(StorageMetrics::new());
         let device = device_from_config(&config, "hlog.dat")?;
-        // The legacy `sync_writes` flag is folded into the durability knob:
-        // `effective_durability` maps it to per-record group commit, and the
-        // hybrid log syncs its data pages eagerly exactly under that mode
-        // (every other mode hardens acknowledged writes through the WAL and
-        // syncs data pages at checkpoint time instead).
-        let eager_page_sync = matches!(
-            config.effective_durability(),
-            DurabilityMode::GroupCommit { window: 1 }
-        );
+        // The hybrid log syncs its data pages eagerly exactly under
+        // per-record group commit (every other mode hardens acknowledged
+        // writes through the WAL and syncs data pages at checkpoint time).
+        let eager_page_sync =
+            matches!(config.durability, DurabilityMode::GroupCommit { window: 1 });
         let log = HybridLog::new(
             device,
             config.memory_budget,
@@ -155,16 +151,12 @@ impl FasterKv {
                 }
             }
         }
-        if self.config.effective_durability() != DurabilityMode::None {
+        if self.config.durability != DurabilityMode::None {
             let gen = gens.last().map(|g| g + 1).unwrap_or(0);
             let device = device_from_config(&self.config, &wal_file_name(gen))?;
             self.wal = Some(RwLock::new(WalHandle {
-                writer: WalWriter::new(
-                    device,
-                    self.config.effective_durability(),
-                    Arc::clone(&self.metrics),
-                )
-                .with_tap(self.config.wal_tap.clone()),
+                writer: WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
+                    .with_tap(self.config.wal_tap.clone()),
                 gen,
             }));
         }
@@ -187,12 +179,9 @@ impl FasterKv {
                 let mut handle = wal.write();
                 let old_gen = handle.gen;
                 let device = device_from_config(&self.config, &wal_file_name(old_gen + 1))?;
-                handle.writer = WalWriter::new(
-                    device,
-                    self.config.effective_durability(),
-                    Arc::clone(&self.metrics),
-                )
-                .with_tap(self.config.wal_tap.clone());
+                handle.writer =
+                    WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
+                        .with_tap(self.config.wal_tap.clone());
                 handle.gen = old_gen + 1;
                 drop(handle);
                 for gen in wal_generations(&dir) {

@@ -98,12 +98,8 @@ impl LsmStore {
             }
         }
         let wal_device = device_from_config(&config, &format!("wal_{wal_gen}.dat"))?;
-        let wal = WriteAheadLog::new(
-            wal_device,
-            config.effective_durability(),
-            Arc::clone(&metrics),
-        )
-        .with_tap(config.wal_tap.clone());
+        let wal = WriteAheadLog::new(wal_device, config.durability, Arc::clone(&metrics))
+            .with_tap(config.wal_tap.clone());
         let write_shards = match config.effective_write_shards() {
             0 => available_parallelism(),
             n => n,
@@ -176,7 +172,7 @@ impl LsmStore {
             // removed, so a crash can never leave the entries in neither place.
             // Under `DurabilityMode::None` nothing promises to survive a crash,
             // so the sync is skipped (preserving the non-durable fast path).
-            if self.config.effective_durability() != DurabilityMode::None {
+            if self.config.durability != DurabilityMode::None {
                 table.sync()?;
             }
             Ok(table)
@@ -201,7 +197,7 @@ impl LsmStore {
         let wal_device = device_from_config(&self.config, &format!("wal_{}.dat", inner.wal_gen))?;
         inner.wal = WriteAheadLog::new(
             wal_device,
-            self.config.effective_durability(),
+            self.config.durability,
             Arc::clone(&self.metrics),
         )
         .with_tap(self.config.wal_tap.clone());
@@ -235,7 +231,7 @@ impl LsmStore {
         )?;
         // Harden the merged run before its inputs are removed (same crash
         // rule as `flush_memtable`).
-        if self.config.effective_durability() != DurabilityMode::None {
+        if self.config.durability != DurabilityMode::None {
             table.sync()?;
         }
         // Remove the old table files.

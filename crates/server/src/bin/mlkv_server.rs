@@ -11,13 +11,17 @@
 //! `MLKV_IO_BACKEND`, `MLKV_PARALLELISM`, `MLKV_DURABILITY`, and
 //! `MLKV_REPLICATION_MODE` environment overrides apply on top of the flags;
 //! `--replicate-from` starts the process as a replica of the given primary.
+//!
+//! The batcher is self-clocking: whenever it is idle it fuses everything that
+//! queued meanwhile, up to `--max-batch` requests per tick, so a lone request
+//! is dispatched at once and a busy server fuses full batches.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use mlkv::BackendKind;
-use mlkv_server::{ReplicationMode, ServerBuilder};
-use mlkv_storage::DurabilityMode;
+use mlkv_server::{ReplicationMode, ServerBuilder, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_CAPACITY};
+use mlkv_storage::{DurabilityMode, StoreConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -25,12 +29,14 @@ fn usage() -> ! {
          \x20                 [--memory-budget-mb N] [--parallelism N]\n\
          \x20                 [--durability none|buffered|group:<records>]\n\
          \x20                 [--dir PATH] [--staleness-bound N] [--seed N]\n\
-         \x20                 [--queue-capacity N] [--window-init N] [--window-max N]\n\
-         \x20                 [--window-wait-us N] [--no-adaptive]\n\
+         \x20                 [--queue-capacity N] [--max-batch N]\n\
          \x20                 [--dedup-slots N] [--probe-interval-ms N]\n\
          \x20                 [--retry-after-ms N]\n\
          \x20                 [--replicate-from HOST:PORT]\n\
          \x20                 [--replication-mode async|semisync[:acks]]\n\
+         --queue-capacity: requests admitted before shedding (default {DEFAULT_QUEUE_CAPACITY})\n\
+         --max-batch: most requests fused per batcher tick; the batcher never waits\n\
+         \x20            for a batch to fill (default {DEFAULT_MAX_BATCH}; 1 = per-request dispatch)\n\
          backends: {}",
         BackendKind::ALL
             .iter()
@@ -60,10 +66,7 @@ fn main() -> ExitCode {
     let mut staleness_bound = 0u32;
     let mut seed = 0x5eedu64;
     let mut queue_capacity: Option<usize> = None;
-    let mut window_init: Option<usize> = None;
-    let mut window_max: Option<usize> = None;
-    let mut window_wait_us: Option<u64> = None;
-    let mut adaptive = true;
+    let mut max_batch: Option<usize> = None;
     let mut dedup_slots: Option<usize> = None;
     let mut probe_interval_ms: Option<u64> = None;
     let mut retry_after_ms: Option<u64> = None;
@@ -100,12 +103,7 @@ fn main() -> ExitCode {
             "--queue-capacity" => {
                 queue_capacity = Some(value().parse().unwrap_or_else(|_| usage()))
             }
-            "--window-init" => window_init = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--window-max" => window_max = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--window-wait-us" => {
-                window_wait_us = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--no-adaptive" => adaptive = false,
+            "--max-batch" => max_batch = Some(value().parse().unwrap_or_else(|_| usage())),
             "--dedup-slots" => dedup_slots = Some(value().parse().unwrap_or_else(|_| usage())),
             "--probe-interval-ms" => {
                 probe_interval_ms = Some(value().parse().unwrap_or_else(|_| usage()))
@@ -129,33 +127,28 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut config = match dir {
+        Some(d) => StoreConfig::on_disk(d),
+        None => StoreConfig::in_memory(),
+    };
+    if let Some(mb) = memory_budget_mb {
+        config = config.with_memory_budget(mb << 20);
+    }
+    if let Some(p) = parallelism {
+        config = config.with_parallelism(p);
+    }
+    if let Some(d) = durability {
+        config = config.with_durability(d);
+    }
     let mut builder = ServerBuilder::new(builder_backend, dim)
         .staleness_bound(staleness_bound)
         .seed(seed)
-        .adaptive_window(adaptive);
-    if let Some(mb) = memory_budget_mb {
-        builder = builder.memory_budget(mb << 20);
-    }
-    if let Some(p) = parallelism {
-        builder = builder.parallelism(p);
-    }
-    if let Some(d) = durability {
-        builder = builder.durability(d);
-    }
-    if let Some(d) = dir {
-        builder = builder.dir(d);
-    }
+        .store_config(config);
     if let Some(c) = queue_capacity {
         builder = builder.queue_capacity(c);
     }
-    if let Some(w) = window_init {
-        builder = builder.window_initial(w);
-    }
-    if let Some(w) = window_max {
-        builder = builder.window_max(w);
-    }
-    if let Some(us) = window_wait_us {
-        builder = builder.window_wait(Duration::from_micros(us));
+    if let Some(n) = max_batch {
+        builder = builder.max_batch(n);
     }
     if let Some(n) = dedup_slots {
         builder = builder.dedup_slots(n);

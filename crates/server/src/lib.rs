@@ -11,15 +11,15 @@
 //! * [`queue::AdmissionQueue`] — a bounded queue where deadline-expired work
 //!   is rejected with [`mlkv_storage::StorageError::DeadlineExceeded`] and
 //!   overflow is shed with [`mlkv_storage::StorageError::Overloaded`];
-//! * [`batcher::Batcher`] — one thread that closes micro-batch windows and
-//!   issues a single fused `multi_get` / `multi_rmw`-backed table call per
-//!   tick, scattering rows back to the originating connections; the window
-//!   is sized by [`batcher::AdaptiveWindow`], the same feedback-clamp loop
-//!   the trainer uses for prefetch depth;
+//! * [`batcher::Batcher`] — one self-clocking thread that, whenever it is
+//!   idle, drains whatever has queued (up to one cap) and issues a single
+//!   fused `multi_get` / `multi_rmw`-backed table call per run of same-kind
+//!   requests, scattering rows back to the originating connections: a lone
+//!   request runs at once, and requests arriving during a tick ride the next;
 //! * [`server::ServerBuilder`] / [`server::ServerHandle`] — the TCP listener
-//!   plumbed to every [`mlkv_storage::StoreConfig`] knob (backend,
-//!   parallelism, I/O backend, durability), with graceful shutdown that
-//!   drains admitted work and flushes through the WAL path;
+//!   over a table built from one [`mlkv_storage::StoreConfig`], with
+//!   graceful shutdown that drains admitted work and flushes through the WAL
+//!   path;
 //! * [`client::Client`] — a blocking client that surfaces server rejections
 //!   as the same typed errors, with deadline-budgeted retries, automatic
 //!   reconnect, and idempotent sessions ([`client::ClientOptions`]).
@@ -52,7 +52,7 @@ pub mod queue;
 pub mod repl;
 pub mod server;
 
-pub use batcher::{AdaptiveWindow, Batcher, BatcherConfig};
+pub use batcher::Batcher;
 pub use chaos::{ChaosProxy, ChaosScript};
 pub use client::{Client, ClientOptions, ClientStats};
 pub use dedup::{DedupWindow, PROBE_KEY, RESERVED_KEY_BASE};
@@ -62,4 +62,4 @@ pub use protocol::{
 };
 pub use queue::{AdmissionQueue, Pending, Work};
 pub use repl::{ReplicationClient, ReplicationHub, ReplicationMode};
-pub use server::{ServerBuilder, ServerHandle, DEFAULT_QUEUE_CAPACITY};
+pub use server::{ServerBuilder, ServerHandle, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_CAPACITY};

@@ -156,9 +156,6 @@ pub struct StoreConfig {
     /// Number of hash-index buckets (FASTER engine) or fan-out hints. Rounded up
     /// to a power of two by the engines.
     pub index_buckets: usize,
-    /// Whether writes should be flushed to the device eagerly (fsync-like). The
-    /// benchmarks keep this off, mirroring the paper's non-durable training runs.
-    pub sync_writes: bool,
     /// Worker threads a single batched operation (`multi_get` / `multi_rmw` /
     /// `write_batch`) may fan out over. `0` means "auto" (size from
     /// [`crate::exec::available_parallelism`]); `1` forces the serial,
@@ -201,8 +198,6 @@ pub struct StoreConfig {
     /// [`IoBackend::Sync`].
     pub io_queue_depth: usize,
     /// When the write-ahead log syncs its device (see [`DurabilityMode`]).
-    /// The legacy [`StoreConfig::sync_writes`] flag is folded in by
-    /// [`StoreConfig::effective_durability`].
     pub durability: DurabilityMode,
     /// Write-side concurrency: the number of memtable shards (LSM), leaf-latch
     /// lanes (B+tree), buffer-pool shards, and mutation workers a single
@@ -242,7 +237,6 @@ impl Default for StoreConfig {
             memory_budget: 64 << 20,
             page_size: crate::page::PAGE_SIZE,
             index_buckets: 1 << 16,
-            sync_writes: false,
             parallelism: 0,
             simulated_read_latency: Duration::ZERO,
             simulated_read_bytes_per_sec: 0,
@@ -290,12 +284,6 @@ impl StoreConfig {
     /// Set the page size.
     pub fn with_page_size(mut self, bytes: usize) -> Self {
         self.page_size = bytes;
-        self
-    }
-
-    /// Enable or disable eager flushing.
-    pub fn with_sync_writes(mut self, sync: bool) -> Self {
-        self.sync_writes = sync;
         self
     }
 
@@ -370,17 +358,6 @@ impl StoreConfig {
     pub fn with_wal_tap(mut self, tap: Arc<crate::wal::WalTap>) -> Self {
         self.wal_tap = Some(tap);
         self
-    }
-
-    /// The durability mode engines should actually run under: the legacy
-    /// `sync_writes: true` flag upgrades [`DurabilityMode::None`] to
-    /// per-record group commit, preserving its historical "fsync eagerly"
-    /// meaning; an explicit `durability` setting wins.
-    pub fn effective_durability(&self) -> DurabilityMode {
-        match (self.durability, self.sync_writes) {
-            (DurabilityMode::None, true) => DurabilityMode::GroupCommit { window: 1 },
-            (mode, _) => mode,
-        }
     }
 
     /// The write-side shard/worker count engines should actually build with:
@@ -592,7 +569,6 @@ mod tests {
         let cfg = StoreConfig::default();
         assert!(cfg.dir.is_none());
         assert!(cfg.memory_budget > 0);
-        assert!(!cfg.sync_writes);
     }
 
     #[test]
@@ -601,7 +577,6 @@ mod tests {
             .with_memory_budget(1 << 20)
             .with_index_buckets(128)
             .with_page_size(4096)
-            .with_sync_writes(true)
             .with_parallelism(4)
             .with_simulated_read_latency(Duration::from_micros(50))
             .with_simulated_read_throughput(1 << 30)
@@ -612,7 +587,6 @@ mod tests {
         assert_eq!(cfg.memory_budget, 1 << 20);
         assert_eq!(cfg.index_buckets, 128);
         assert_eq!(cfg.page_size, 4096);
-        assert!(cfg.sync_writes);
         assert_eq!(cfg.parallelism, 4);
         assert_eq!(cfg.simulated_read_latency, Duration::from_micros(50));
         assert_eq!(cfg.simulated_read_bytes_per_sec, 1 << 30);
@@ -774,28 +748,17 @@ mod tests {
     }
 
     #[test]
-    fn durability_defaults_composes_and_folds_sync_writes() {
+    fn durability_defaults_and_composes() {
         let cfg = StoreConfig::default();
         assert_eq!(cfg.durability, DurabilityMode::None);
-        assert_eq!(cfg.effective_durability(), DurabilityMode::None);
         assert!(cfg.device_factory.is_none());
 
-        // Legacy sync_writes upgrades None to per-record group commit...
-        let cfg = StoreConfig::default().with_sync_writes(true);
-        assert_eq!(
-            cfg.effective_durability(),
-            DurabilityMode::GroupCommit { window: 1 }
-        );
-        // ...but an explicit durability setting wins.
         let cfg = cfg.with_durability(DurabilityMode::Buffered);
-        assert_eq!(cfg.effective_durability(), DurabilityMode::Buffered);
+        assert_eq!(cfg.durability, DurabilityMode::Buffered);
 
         let cfg = StoreConfig::default().with_durability(DurabilityMode::GroupCommit { window: 8 });
-        assert_eq!(
-            cfg.effective_durability(),
-            DurabilityMode::GroupCommit { window: 8 }
-        );
-        assert!(cfg.effective_durability().is_durable());
+        assert_eq!(cfg.durability, DurabilityMode::GroupCommit { window: 8 });
+        assert!(cfg.durability.is_durable());
         assert!(!DurabilityMode::Buffered.is_durable());
         assert_eq!(DurabilityMode::None.to_string(), "none");
         assert_eq!(DurabilityMode::Buffered.to_string(), "buffered");

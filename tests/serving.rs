@@ -5,18 +5,27 @@
 //! (every client owns a disjoint key range) through the server must leave the
 //! served table byte-identical to replaying each client's operation stream
 //! directly against a plain table. Around it: connect/disconnect churn,
-//! malformed and truncated frames, deadline expiry, and graceful shutdown
-//! draining already-admitted work.
+//! malformed and truncated frames, self-clocked fusion, deadline expiry,
+//! overload shedding, and graceful shutdown draining already-admitted work.
+//!
+//! The batcher never waits for a batch to fill, so the tests that need
+//! requests to sit in the admission queue park the batcher *inside* a tick
+//! instead: [`GatedStore`] holds every fused gather at a gate the test opens.
 
 use std::io::Write;
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mlkv::{open_store, BackendKind, EmbeddingTable};
 use mlkv_server::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
-use mlkv_server::{Client, ServerBuilder, ServerHandle};
-use mlkv_storage::{DurabilityMode, StorageError, StoreConfig};
+use mlkv_server::{Client, ServerBuilder, ServerHandle, DEFAULT_QUEUE_CAPACITY};
+use mlkv_storage::kv::{Key, ReadResult};
+use mlkv_storage::{
+    BatchRmwFn, DurabilityMode, KvStore, MemStore, RmwFn, StorageError, StorageMetrics,
+    StorageResult, StoreConfig, WriteBatch,
+};
 
 const DIM: usize = 8;
 const SEED: u64 = 42;
@@ -37,6 +46,134 @@ fn make_table(backend: BackendKind) -> Arc<EmbeddingTable> {
             .build()
             .unwrap(),
     )
+}
+
+/// Gate state: whether gathers may pass, how many are parked, and the key
+/// count of every `multi_get` since the gate last closed (one per fused
+/// gather run; startup recovery reads come before that).
+#[derive(Default)]
+struct GateState {
+    closed: bool,
+    parked: usize,
+    calls: Vec<usize>,
+}
+
+/// An in-memory store whose `multi_get` blocks while its gate is closed, so a
+/// test can hold the batcher inside a tick for as long as it likes.
+#[derive(Default)]
+struct GatedStore {
+    inner: MemStore,
+    state: Mutex<GateState>,
+    cv: Condvar,
+}
+
+impl GatedStore {
+    fn close(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.closed = true;
+        state.calls.clear();
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().closed = false;
+        self.cv.notify_all();
+    }
+
+    /// Block until `n` callers are parked at the closed gate.
+    fn wait_parked(&self, n: usize) {
+        let state = self.state.lock().unwrap();
+        let (_state, timeout) = self
+            .cv
+            .wait_timeout_while(state, Duration::from_secs(10), |s| s.parked < n)
+            .unwrap();
+        assert!(!timeout.timed_out(), "batcher never reached the gate");
+    }
+
+    /// Key counts of every `multi_get` since the gate closed, in call order.
+    fn calls(&self) -> Vec<usize> {
+        self.state.lock().unwrap().calls.clone()
+    }
+}
+
+impl KvStore for GatedStore {
+    fn name(&self) -> &'static str {
+        "Gated"
+    }
+    fn get_traced(&self, key: Key) -> StorageResult<ReadResult> {
+        self.inner.get_traced(key)
+    }
+    fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
+        let mut state = self.state.lock().unwrap();
+        state.calls.push(keys.len());
+        state.parked += 1;
+        self.cv.notify_all();
+        let mut state = self.cv.wait_while(state, |s| s.closed).unwrap();
+        state.parked -= 1;
+        drop(state);
+        self.inner.multi_get(keys)
+    }
+    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
+        self.inner.put(key, value)
+    }
+    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
+        self.inner.rmw(key, f)
+    }
+    fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
+        self.inner.multi_rmw(keys, f)
+    }
+    fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
+        self.inner.write_batch(batch)
+    }
+    fn delete(&self, key: Key) -> StorageResult<()> {
+        self.inner.delete(key)
+    }
+    fn approximate_len(&self) -> usize {
+        self.inner.approximate_len()
+    }
+    fn metrics(&self) -> Arc<StorageMetrics> {
+        self.inner.metrics()
+    }
+    fn flush(&self) -> StorageResult<()> {
+        self.inner.flush()
+    }
+}
+
+/// A server over a [`GatedStore`] table; the gate starts open (startup
+/// recovery reads the store) and the test closes it.
+fn serve_gated(queue_capacity: usize) -> (ServerHandle, Arc<GatedStore>) {
+    let gate = Arc::new(GatedStore::default());
+    let table = EmbeddingTable::builder(Arc::clone(&gate) as Arc<dyn KvStore>)
+        .dim(DIM)
+        .staleness_bound(u32::MAX)
+        .seed(SEED)
+        .build()
+        .unwrap();
+    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
+        .table(Arc::new(table))
+        .queue_capacity(queue_capacity)
+        .serve("127.0.0.1:0")
+        .unwrap();
+    (handle, gate)
+}
+
+/// Gather `keys` on a fresh connection in the background.
+fn gather_in_background(
+    addr: SocketAddr,
+    keys: Vec<u64>,
+) -> JoinHandle<StorageResult<Vec<Vec<f32>>>> {
+    std::thread::spawn(move || Client::connect(addr)?.gather(&keys, None))
+}
+
+/// Block until the server has admitted `n` requests in total.
+fn wait_admitted(handle: &ServerHandle, n: u64) {
+    let started = Instant::now();
+    while handle.metrics().snapshot().serve_admitted < n {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "server never admitted {n} requests"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn serve(table: Arc<EmbeddingTable>) -> ServerHandle {
@@ -250,27 +387,68 @@ fn malformed_and_truncated_frames_do_not_kill_the_server() {
 }
 
 #[test]
-fn expired_deadline_comes_back_as_typed_error() {
-    // A long window wait guarantees the request sits in the batcher's window
-    // well past its 1us budget, regardless of scheduler timing.
-    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
-        .table(make_table(BackendKind::InMemory))
-        .window_initial(64)
-        .window_wait(Duration::from_millis(50))
-        .serve("127.0.0.1:0")
-        .unwrap();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
+fn idle_batcher_dispatches_at_once_and_fuses_what_queued_meanwhile() {
+    // More requests queue behind tick 1 than any fixed window smaller than
+    // the cap would take; the self-clocked tick 2 must take them all.
+    const QUEUED: u64 = 20;
+    let (handle, gate) = serve_gated(DEFAULT_QUEUE_CAPACITY);
+    let addr = handle.local_addr();
+    gate.close();
 
-    let err = client
-        .gather(&[1, 2, 3], Some(Duration::from_micros(1)))
-        .unwrap_err();
+    // Tick 1 starts on a lone gather without waiting for company, and parks
+    // inside the engine call.
+    let first = gather_in_background(addr, vec![1, 2]);
+    gate.wait_parked(1);
+
+    // The rest arrive while tick 1 runs; they queue.
+    let rest: Vec<_> = (1..=QUEUED)
+        .map(|c| gather_in_background(addr, vec![c * 10, c * 10 + 1]))
+        .collect();
+    wait_admitted(&handle, 1 + QUEUED);
+
+    gate.open();
+    assert_eq!(first.join().unwrap().unwrap().len(), 2);
+    for r in rest {
+        assert_eq!(r.join().unwrap().unwrap().len(), 2);
+    }
+
+    // Tick 2 fused every queued gather into one engine call. (Shut down
+    // first: a tick is counted after its replies go out.)
+    handle.shutdown().unwrap();
+    let snap = handle.metrics().snapshot();
+    assert_eq!(snap.serve_ticks, 2);
+    assert_eq!(snap.serve_fused_keys, 2 + 2 * QUEUED);
+    assert_eq!(gate.calls(), vec![2, 2 * QUEUED as usize]);
+}
+
+#[test]
+fn expired_deadline_comes_back_as_typed_error() {
+    // The batcher is parked inside a tick, so the deadlined request sits in
+    // the admission queue well past its budget, regardless of timing.
+    let (handle, gate) = serve_gated(DEFAULT_QUEUE_CAPACITY);
+    let addr = handle.local_addr();
+    gate.close();
+    let blocker = gather_in_background(addr, vec![100]);
+    gate.wait_parked(1);
+
+    let budget = Duration::from_millis(100);
+    let mut client = Client::connect(addr).unwrap();
+    let err = client.gather(&[1, 2, 3], Some(budget)).unwrap_err();
     assert!(
         matches!(err, StorageError::DeadlineExceeded { .. }),
         "want DeadlineExceeded, got {err:?}"
     );
-    // The client enforces its budget locally, so it reports the expiry
-    // before the batcher's window closes; the server-side rejection of the
-    // queued work lands when the window drains.
+    // The client enforces its budget locally, so it reports the expiry while
+    // the request is still queued: admitted, not yet rejected.
+    wait_admitted(&handle, 2);
+    assert_eq!(handle.metrics().snapshot().serve_rejected, 0);
+    // The server's deadline runs from admission, a little after the client's
+    // clock started: one more budget guarantees it has passed.
+    std::thread::sleep(budget);
+
+    // The next tick drops the expired work instead of fusing it.
+    gate.open();
+    assert_eq!(blocker.join().unwrap().unwrap().len(), 1);
     let drained = Instant::now();
     while handle.metrics().snapshot().serve_rejected == 0 {
         assert!(
@@ -279,6 +457,11 @@ fn expired_deadline_comes_back_as_typed_error() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    assert_eq!(
+        gate.calls(),
+        vec![1],
+        "expired work never reached the engine"
+    );
 
     // The connection survives a rejected request.
     assert_eq!(client.gather(&[1], None).unwrap().len(), 1);
@@ -287,37 +470,31 @@ fn expired_deadline_comes_back_as_typed_error() {
 
 #[test]
 fn graceful_shutdown_drains_admitted_work() {
-    // A wide-open window holds admitted gathers in the queue; shutdown must
-    // answer them all (drain) rather than drop them.
-    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
-        .table(make_table(BackendKind::InMemory))
-        .window_initial(64)
-        .window_max(64)
-        .window_wait(Duration::from_secs(2))
-        .serve("127.0.0.1:0")
-        .unwrap();
+    // The batcher is parked inside a tick while four gathers are admitted
+    // behind it; shutdown must answer them all (drain) rather than drop them.
+    let (handle, gate) = serve_gated(DEFAULT_QUEUE_CAPACITY);
     let addr = handle.local_addr();
+    gate.close();
+    let blocker = gather_in_background(addr, vec![100]);
+    gate.wait_parked(1);
 
-    let mut waiters = Vec::new();
-    for c in 0..4u64 {
-        waiters.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client.gather(&[c * 10, c * 10 + 1], None).unwrap()
-        }));
-    }
-    // Let the gathers reach the admission queue before asking for shutdown.
-    std::thread::sleep(Duration::from_millis(200));
+    let waiters: Vec<_> = (0..4u64)
+        .map(|c| gather_in_background(addr, vec![c * 10, c * 10 + 1]))
+        .collect();
+    wait_admitted(&handle, 5);
 
     let mut admin = Client::connect(addr).unwrap();
     admin.shutdown_server().unwrap();
+    // Admission is closed now; the queued gathers are still owed replies.
+    gate.open();
     handle.join().unwrap();
 
+    assert_eq!(blocker.join().unwrap().unwrap().len(), 1);
     for w in waiters {
-        let rows = w.join().expect("client thread");
+        let rows = w.join().expect("client thread").unwrap();
         assert_eq!(rows.len(), 2, "queued gather was answered during drain");
     }
-    let snap = handle.metrics().snapshot();
-    assert!(snap.serve_admitted >= 4);
+    assert_eq!(handle.metrics().snapshot().serve_admitted, 5);
 
     // New connections are refused once the listener is gone.
     assert!(
@@ -333,9 +510,11 @@ fn server_builds_its_own_durable_store_and_flushes_on_shutdown() {
     let dir = std::env::temp_dir().join(format!("mlkv-serving-durable-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let handle = ServerBuilder::new(BackendKind::Faster, DIM)
-        .dir(&dir)
-        .memory_budget(4 << 20)
-        .durability(DurabilityMode::GroupCommit { window: 1024 })
+        .store_config(
+            StoreConfig::on_disk(&dir)
+                .with_memory_budget(4 << 20)
+                .with_durability(DurabilityMode::GroupCommit { window: 1024 }),
+        )
         .seed(SEED)
         .serve("127.0.0.1:0")
         .unwrap();
@@ -357,36 +536,30 @@ fn server_builds_its_own_durable_store_and_flushes_on_shutdown() {
 
 #[test]
 fn overload_sheds_with_typed_error() {
-    // Capacity 1 and a held-open window: the first request occupies the
-    // queue, the second must be shed at admission.
-    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
-        .table(make_table(BackendKind::InMemory))
-        .queue_capacity(1)
-        .window_initial(64)
-        .window_max(64)
-        .window_wait(Duration::from_secs(2))
-        .serve("127.0.0.1:0")
-        .unwrap();
+    // Capacity 1 and a batcher parked inside a tick: the second request
+    // occupies the queue, the third must be shed at admission.
+    let (handle, gate) = serve_gated(1);
     let addr = handle.local_addr();
-
-    let blocker = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.gather(&[1], None).unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(150));
+    gate.close();
+    let blocker = gather_in_background(addr, vec![1]);
+    gate.wait_parked(1);
+    let queued = gather_in_background(addr, vec![2]);
+    wait_admitted(&handle, 2);
 
     let mut client = Client::connect(addr).unwrap();
-    let err = client.gather(&[2], None).unwrap_err();
+    let err = client.gather(&[3], None).unwrap_err();
     assert!(
         matches!(err, StorageError::Overloaded { capacity: 1, .. }),
         "want Overloaded, got {err:?}"
     );
 
+    gate.open();
     handle.shutdown().unwrap();
+    assert_eq!(blocker.join().unwrap().unwrap().len(), 1);
     assert_eq!(
-        blocker.join().unwrap().len(),
+        queued.join().unwrap().unwrap().len(),
         1,
-        "blocked request drained at shutdown"
+        "queued request drained at shutdown"
     );
 }
 
@@ -411,9 +584,11 @@ fn session_churn_bounds_dedup_memory_and_reconciles_through_markers() {
         ServerBuilder::new(BackendKind::RocksDbLike, DIM)
             .staleness_bound(u32::MAX)
             .seed(SEED)
-            .dir(dir.clone())
-            .durability(DurabilityMode::GroupCommit { window: 1 << 20 })
-            .parallelism(1)
+            .store_config(
+                StoreConfig::on_disk(dir.clone())
+                    .with_durability(DurabilityMode::GroupCommit { window: 1 << 20 })
+                    .with_parallelism(1),
+            )
             .dedup_slots(SLOTS)
     };
     let handle = builder().serve("127.0.0.1:0").unwrap();
