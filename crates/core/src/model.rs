@@ -7,7 +7,7 @@
 //! // Figure 3, line 3: nn_model, emb_tables = MLKV.Open(model_id, dim, staleness_bound)
 //! let model = Mlkv::open("my-ctr-model", 16, 4).unwrap();
 //! let emb = model.table();
-//! let values = emb.get(&[1, 2, 3]).unwrap();
+//! let values = emb.gather(&[1, 2, 3]).unwrap();
 //! assert_eq!(values.len(), 3);
 //! ```
 
@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(model.dim(), 8);
         assert_eq!(model.mode().bound(), 4);
         // Figure 3 style usage through Deref.
-        let values = model.get(&[1, 2, 3]).unwrap();
+        let values = model.gather(&[1, 2, 3]).unwrap();
         assert_eq!(values.len(), 3);
         model.put(&[1], &[vec![0.5; 8]]).unwrap();
         assert_eq!(model.get_one(1).unwrap(), vec![0.5; 8]);
@@ -319,7 +319,7 @@ mod tests {
                 let rows = vec![vec![0.25f32; 4]; keys.len()];
                 model.put(&keys, &rows).unwrap();
                 // Larger-than-memory: gathers hit the cold path either way.
-                let got = model.get(&keys).unwrap();
+                let got = model.gather(&keys).unwrap();
                 assert_eq!(got, rows, "coalesce={coalesce} io_backend={io_backend}");
             }
         }

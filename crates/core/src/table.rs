@@ -389,12 +389,6 @@ impl EmbeddingTable {
         Ok(out)
     }
 
-    /// Fetch embeddings for a batch of keys (alias of
-    /// [`EmbeddingTable::gather`], kept for Figure 3 API continuity).
-    pub fn get(&self, keys: &[u64]) -> StorageResult<Vec<Vec<f32>>> {
-        self.gather(keys)
-    }
-
     /// Upsert the embedding for one key. This is the backward-pass path (`Put`
     /// in Figure 3, line 17).
     pub fn put_one(&self, key: u64, value: &[f32]) -> StorageResult<()> {
@@ -583,7 +577,7 @@ impl EmbeddingTable {
 
     /// True when `key` has a stored embedding.
     pub fn contains(&self, key: u64) -> StorageResult<bool> {
-        self.store.contains(key)
+        self.store.exists(key)
     }
 
     /// Number of embeddings stored (approximate for log-structured backends).
@@ -722,7 +716,7 @@ mod tests {
         let keys = vec![10, 11, 12];
         let vals: Vec<Vec<f32>> = (0..3).map(|i| vec![i as f32; 8]).collect();
         t.put(&keys, &vals).unwrap();
-        assert_eq!(t.get(&keys).unwrap(), vals);
+        assert_eq!(t.gather(&keys).unwrap(), vals);
     }
 
     #[test]

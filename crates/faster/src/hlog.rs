@@ -24,7 +24,7 @@ use mlkv_storage::{
 };
 
 use crate::address::Address;
-use crate::record::Record;
+use crate::record::{Record, RecordFlags};
 
 /// Marker for a frame that holds no page yet.
 const NO_PAGE: u64 = u64::MAX;
@@ -394,27 +394,77 @@ impl HybridLog {
     }
 
     /// Overwrite the value of the record at `addr` in place. Returns `false`
-    /// when the record is no longer in the mutable region or the new value has a
-    /// different length (callers then fall back to an append).
+    /// when the record is no longer in the mutable region, is sealed, or the
+    /// new value has a different length (callers then fall back to an append).
     pub fn try_update_in_place(&self, addr: Address, new_value: &[u8]) -> StorageResult<bool> {
-        if addr.raw() < self.read_only.load(Ordering::Acquire) {
-            return Ok(false);
+        let mut frame = self.frame_for(addr.page(self.page_size)).write();
+        match self.mutable_value(&frame, addr)? {
+            Some((start, len, _)) if len == new_value.len() => {
+                frame.data[start..start + len].copy_from_slice(new_value);
+                frame.dirty = true;
+                Ok(true)
+            }
+            _ => Ok(false),
         }
-        let page = addr.page(self.page_size);
-        let offset = addr.offset_in_page(self.page_size);
-        let frame_lock = self.frame_for(page);
-        let mut frame = frame_lock.write();
-        if frame.page_index != page {
-            return Ok(false);
+    }
+
+    /// Compare-and-swap the value of the record at `addr` in place: write
+    /// `new_value` only if the record still holds `expected` (the copy a
+    /// read-modify-write computed `new_value` from). A `new_value` of a
+    /// different length seals the record instead, freezing `expected` as its
+    /// final value, and the caller appends `new_value`.
+    pub fn update_in_place_if(
+        &self,
+        addr: Address,
+        expected: &[u8],
+        new_value: &[u8],
+    ) -> StorageResult<InPlaceUpdate> {
+        let mut frame = self.frame_for(addr.page(self.page_size)).write();
+        let Some((start, len, flags)) = self.mutable_value(&frame, addr)? else {
+            return Ok(InPlaceUpdate::Stale);
+        };
+        if frame.data[start..start + len] != *expected {
+            return Ok(InPlaceUpdate::Stale);
         }
-        let (_, _, value_len, flags) = Record::decode_header(&frame.data[offset..])?;
-        if !flags.is_valid() || flags.is_tombstone() || value_len != new_value.len() {
-            return Ok(false);
-        }
-        let value_start = offset + Record::HEADER_LEN;
-        frame.data[value_start..value_start + new_value.len()].copy_from_slice(new_value);
         frame.dirty = true;
-        Ok(true)
+        if new_value.len() == len {
+            frame.data[start..start + len].copy_from_slice(new_value);
+            Ok(InPlaceUpdate::Written)
+        } else {
+            // flags live at byte offset 20 of the header.
+            let flags_at = addr.offset_in_page(self.page_size) + 20;
+            frame.data[flags_at..flags_at + 4].copy_from_slice(&flags.sealed().0.to_le_bytes());
+            Ok(InPlaceUpdate::Sealed)
+        }
+    }
+
+    /// The value span `(start, len)` within `frame` and the flags of the
+    /// record at `addr`, when that record may still change in place: its
+    /// page is resident, it lies in the mutable region, and it is a live,
+    /// unsealed record. The caller holds the page's write latch. Readers
+    /// classify a record's region under the read latch and `read_only` only
+    /// grows, so a reader that copied a record it saw as read-only can never
+    /// miss a later in-place update.
+    fn mutable_value(
+        &self,
+        frame: &Frame,
+        addr: Address,
+    ) -> StorageResult<Option<(usize, usize, RecordFlags)>> {
+        if frame.page_index != addr.page(self.page_size)
+            || addr.raw() < self.read_only.load(Ordering::Acquire)
+        {
+            return Ok(None);
+        }
+        let offset = addr.offset_in_page(self.page_size);
+        let (_, _, value_len, flags) = Record::decode_header(&frame.data[offset..])?;
+        let start = offset + Record::HEADER_LEN;
+        if start + value_len > self.page_size {
+            return Err(StorageError::Corruption(format!(
+                "record at {addr} crosses page boundary"
+            )));
+        }
+        let mutable = flags.is_valid() && !flags.is_tombstone() && !flags.is_sealed();
+        Ok(mutable.then_some((start, value_len, flags)))
     }
 
     /// Flush every dirty resident page to the device without evicting anything.
@@ -514,6 +564,21 @@ impl HybridLog {
     pub fn allocated_bytes(&self) -> u64 {
         self.tail.load(Ordering::Acquire) - Address::FIRST_VALID
     }
+}
+
+/// Outcome of [`HybridLog::update_in_place_if`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InPlaceUpdate {
+    /// The new value was written over the expected one.
+    Written,
+    /// The new value has a different length: the record is now sealed with
+    /// the expected value as its final one, and the caller must append the
+    /// new value.
+    Sealed,
+    /// The record no longer holds the expected value or can no longer change
+    /// in place (read-only region, evicted page or sealed); nothing was
+    /// written and the caller must look again.
+    Stale,
 }
 
 /// A cold-record scatter in flight ([`HybridLog::submit_records_from_disk`]).

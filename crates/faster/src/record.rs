@@ -9,7 +9,8 @@
 //! ```
 //!
 //! `prev_address` links records that map to the same hash-index bucket, forming
-//! the per-bucket chain FASTER traverses on reads. `flags` marks tombstones.
+//! the per-bucket chain FASTER traverses on reads. `flags` marks tombstones and
+//! sealed records.
 
 use mlkv_storage::{StorageError, StorageResult};
 
@@ -25,6 +26,10 @@ impl RecordFlags {
     /// Bit present on every real record; its absence identifies page padding
     /// (zero-filled page tails) during log scans.
     const VALID_BIT: u32 = 2;
+    /// Bit set on a record whose read-modify-write produced a value of a
+    /// different length: the record stays readable, but its value is final
+    /// (never updated in place again) while the resized value is appended.
+    const SEALED_BIT: u32 = 4;
 
     /// A live record.
     pub const NONE: RecordFlags = RecordFlags(Self::VALID_BIT);
@@ -39,6 +44,16 @@ impl RecordFlags {
     /// True when this header belongs to a real record (not padding).
     pub fn is_valid(&self) -> bool {
         self.0 & Self::VALID_BIT != 0
+    }
+
+    /// True when the record's value may no longer change in place.
+    pub fn is_sealed(&self) -> bool {
+        self.0 & Self::SEALED_BIT != 0
+    }
+
+    /// These flags with the sealed bit set.
+    pub fn sealed(self) -> RecordFlags {
+        RecordFlags(self.0 | Self::SEALED_BIT)
     }
 }
 

@@ -17,7 +17,7 @@ use crate::address::Address;
 use crate::checkpoint;
 use crate::epoch::EpochManager;
 use crate::hash_index::HashIndex;
-use crate::hlog::HybridLog;
+use crate::hlog::{HybridLog, InPlaceUpdate};
 use crate::record::Record;
 
 /// File name of WAL generation `gen` inside the store directory.
@@ -53,6 +53,20 @@ fn wal_generations(dir: &std::path::Path) -> Vec<u64> {
 struct WalHandle {
     writer: WalWriter,
     gen: u64,
+}
+
+/// A record found by a chain walk: its address, the record itself and the
+/// region it was served from.
+type Hit = (Address, Record, ReadSource);
+
+/// What [`FasterKv::walk_chains`] found for one key.
+struct ChainLookup {
+    /// The chain head the walk started from: the CAS witness for installing
+    /// a copy of the record as the new head.
+    head: Address,
+    /// The key's newest record, tombstones included; `None` when the chain
+    /// holds no record of the key.
+    newest: Option<Hit>,
 }
 
 /// A FASTER-like key-value store.
@@ -245,17 +259,13 @@ impl FasterKv {
 
     /// Walk the hash chain for `key`, returning the first matching record along
     /// with its address and region.
-    fn find(&self, key: Key) -> StorageResult<Option<(Address, Record, ReadSource)>> {
+    fn find(&self, key: Key) -> StorageResult<Option<Hit>> {
         self.find_from(self.index.head(key), key)
     }
 
     /// [`FasterKv::find`] starting from an already-read chain `head` (callers
     /// that need the head for a later CAS read it once and walk from it).
-    fn find_from(
-        &self,
-        head: Address,
-        key: Key,
-    ) -> StorageResult<Option<(Address, Record, ReadSource)>> {
+    fn find_from(&self, head: Address, key: Key) -> StorageResult<Option<Hit>> {
         let mut addr = head;
         while !addr.is_invalid() {
             let (record, source) = self.log.read_record(addr)?;
@@ -267,22 +277,28 @@ impl FasterKv {
         Ok(None)
     }
 
-    /// Append a *promotion copy* of `key` (value read from the cold region)
-    /// and install it only if the chain head is still `expected_head` — i.e.
-    /// nothing was written to this hash chain since the value was read. On a
-    /// lost CAS the appended record is invalidated and the promotion is
-    /// dropped: unlike `append_and_install`, promotion must never retry with
-    /// its (now possibly stale) value over a concurrent writer's update;
-    /// it is only a placement hint.
-    fn try_install_promotion(
-        &self,
-        key: Key,
-        value: Vec<u8>,
-        expected_head: Address,
-    ) -> StorageResult<bool> {
-        let record = Record::new(key, value, expected_head);
+    /// True when a record of `key` lies on the chain between `from` (a newer
+    /// chain head) and `stop` (an older one), i.e. was installed after `stop`
+    /// was read. Only that newer prefix is walked, which stays in memory.
+    fn written_since(&self, key: Key, from: Address, stop: Address) -> StorageResult<bool> {
+        let mut addr = from;
+        while addr > stop {
+            let (record, _) = self.log.read_record(addr)?;
+            if record.flags.is_valid() && record.key == key {
+                return Ok(true);
+            }
+            addr = record.prev;
+        }
+        Ok(false)
+    }
+
+    /// Append `record` and install it as its key's chain head, provided the
+    /// head is still `record.prev` — the head the caller read before deciding
+    /// what to write. Returns `false` (with the appended copy invalidated in
+    /// place) when a concurrent append moved the head first.
+    fn install(&self, record: &Record) -> StorageResult<bool> {
         let addr = self.log.append(&record.encode())?;
-        match self.index.compare_exchange(key, expected_head, addr) {
+        match self.index.compare_exchange(record.key, record.prev, addr) {
             Ok(()) => Ok(true),
             Err(_) => {
                 let _ = self.log.invalidate_record(addr);
@@ -292,7 +308,7 @@ impl FasterKv {
     }
 
     /// Append a record for `key` and install it as the new chain head, retrying
-    /// on CAS races. Records whose CAS lost are invalidated in place.
+    /// on CAS races.
     fn append_and_install(&self, key: Key, value: Vec<u8>, tombstone: bool) -> StorageResult<()> {
         loop {
             let head = self.index.head(key);
@@ -301,14 +317,8 @@ impl FasterKv {
             } else {
                 Record::new(key, value.clone(), head)
             };
-            let addr = self.log.append(&record.encode())?;
-            match self.index.compare_exchange(key, head, addr) {
-                Ok(()) => return Ok(()),
-                Err(_) => {
-                    // Lost the race: neutralise the appended record and retry
-                    // against the new chain head.
-                    let _ = self.log.invalidate_record(addr);
-                }
+            if self.install(&record)? {
+                return Ok(());
             }
         }
     }
@@ -348,43 +358,148 @@ impl FasterKv {
 
     /// Read-modify-write `key`, recording metrics. The caller must hold epoch
     /// protection.
+    ///
+    /// `f` runs on a copy of the newest value. A result for a record in the
+    /// mutable region is written in place only if the record still holds
+    /// that copy; otherwise (read-only, on the device, or sealed by a
+    /// resizing update, so the copy is final) it is appended with a CAS
+    /// against the chain head read before the copy. A record that changed,
+    /// or a lost CAS, redoes the lookup and `f`.
     fn rmw_value(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
         self.metrics.record_rmw();
-        let existing = self.find(key)?;
-        let (current, in_place_target) = match &existing {
-            Some((addr, record, source)) if !record.is_tombstone() => (
-                Some(record.value.clone()),
-                (*source == ReadSource::HotMemory).then_some(*addr),
-            ),
-            _ => (None, None),
-        };
-        if current.is_none() {
-            self.live_records.fetch_add(1, Ordering::Relaxed);
-        }
-        let new_value = f(current.as_deref());
-        if let Some(addr) = in_place_target {
-            if self.log.try_update_in_place(addr, &new_value)? {
-                return Ok(new_value);
+        loop {
+            let head = self.index.head(key);
+            let (current, in_place) = match self.find_from(head, key)? {
+                Some((addr, record, source)) if !record.is_tombstone() => {
+                    let mutable = source == ReadSource::HotMemory && !record.flags.is_sealed();
+                    (Some(record.value), mutable.then_some(addr))
+                }
+                _ => (None, None),
+            };
+            let value = f(current.as_deref());
+            if let (Some(addr), Some(expected)) = (in_place, &current) {
+                match self.log.update_in_place_if(addr, expected, &value)? {
+                    InPlaceUpdate::Written => return Ok(value),
+                    InPlaceUpdate::Stale => continue,
+                    InPlaceUpdate::Sealed => {}
+                }
+            }
+            if self.install(&Record::new(key, value.clone(), head))? {
+                if current.is_none() {
+                    self.live_records.fetch_add(1, Ordering::Relaxed);
+                }
+                return Ok(value);
             }
         }
-        self.append_and_install(key, new_value.clone(), false)?;
-        Ok(new_value)
     }
 
-    /// Read a contiguous range of the key-sorted batch order, walking each
-    /// distinct key's hash chain once and fanning the value out to duplicate
-    /// occurrences. The caller must hold epoch protection. Returns
-    /// `(original position, result)` pairs.
+    /// The batched read-side chain walk shared by `multi_get` and
+    /// `multi_promote`: for each of the distinct `keys`, the chain head the
+    /// walk started from and the key's newest record (tombstones included).
+    /// The caller must hold epoch protection.
     ///
     /// Chain hops that leave the in-memory window are not read one record at a
     /// time: the walk is breadth-first over chain depth, and each round
-    /// collects every distinct key's pending device address and fetches them
-    /// with **one** coalesced scatter
-    /// ([`HybridLog::submit_records_from_disk`]), so a cold range pays one
-    /// device submission per chain depth, not one per record. The round's
-    /// scatter is *submitted* before the memory phase runs, so under the
-    /// async backend the device resolves the previous hops while this worker
+    /// collects every key's pending device address and fetches them with
+    /// **one** coalesced scatter ([`HybridLog::submit_records_from_disk`]), so
+    /// a cold range pays one device submission per chain depth, not one per
+    /// record. A round's scatter is *submitted* before the memory phase runs,
+    /// so under the async backend the device resolves it while this worker
     /// walks memory-resident chains — and only then parks on the completion.
+    fn walk_chains(&self, keys: &[Key]) -> Vec<StorageResult<ChainLookup>> {
+        let heads: Vec<Address> = keys.iter().map(|&key| self.index.head(key)).collect();
+        // `found[d]` is the final result of key `d` (Ok(None) = absent).
+        let mut found: Vec<Option<StorageResult<Option<Hit>>>> =
+            keys.iter().map(|_| None).collect();
+        let mut pending: Vec<(usize, Address)> = heads.iter().copied().enumerate().collect();
+        let mut inflight: Option<(Vec<(usize, Address)>, crate::hlog::PendingRecords<'_>)> = None;
+        // Cursors whose frame lookup already missed: they go to the device
+        // unconditionally next round. Classifying them by `head` again would
+        // lose the progress guarantee — during an eviction the frame is
+        // repointed before `head` advances, so a head-based re-check could
+        // bounce such an address back to the memory walk indefinitely
+        // (a device read is always safe: frames are flushed before reuse).
+        let mut evicted: Vec<(usize, Address)> = Vec::new();
+        loop {
+            // Harvest the previous round's scatter; the next hops join this
+            // round's classification.
+            if let Some((cursors, scatter)) = inflight.take() {
+                for ((d, addr), record) in cursors.into_iter().zip(scatter.wait()) {
+                    match record {
+                        Ok(record) if record.flags.is_valid() && record.key == keys[d] => {
+                            found[d] = Some(Ok(Some((addr, record, ReadSource::Disk))));
+                        }
+                        Ok(record) => pending.push((d, record.prev)),
+                        Err(e) => found[d] = Some(Err(e)),
+                    }
+                }
+            }
+            if pending.is_empty() && evicted.is_empty() {
+                break;
+            }
+            // Classify this round's chain cursors: ended chains resolve as
+            // absent, addresses already below the in-memory head go to the
+            // device now, the rest walk memory while that scatter is in
+            // flight.
+            let head = self.log.head();
+            let mut disk: Vec<(usize, Address)> = std::mem::take(&mut evicted);
+            let mut mem: Vec<(usize, Address)> = Vec::new();
+            for (d, addr) in pending.drain(..) {
+                if addr.is_invalid() {
+                    found[d] = Some(Ok(None));
+                } else if addr < head {
+                    disk.push((d, addr));
+                } else {
+                    mem.push((d, addr));
+                }
+            }
+            if !disk.is_empty() {
+                let addrs: Vec<Address> = disk.iter().map(|&(_, addr)| addr).collect();
+                inflight = Some((disk, self.log.submit_records_from_disk(addrs)));
+            }
+            // Memory phase: follow each resident chain until it resolves or
+            // leaves the in-memory window (then it joins the next round).
+            for (d, mut addr) in mem {
+                loop {
+                    if addr.is_invalid() {
+                        found[d] = Some(Ok(None));
+                        break;
+                    }
+                    match self.log.read_record_memory(addr) {
+                        Ok(Some((record, source)))
+                            if record.flags.is_valid() && record.key == keys[d] =>
+                        {
+                            found[d] = Some(Ok(Some((addr, record, source))));
+                            break;
+                        }
+                        Ok(Some((record, _))) => addr = record.prev,
+                        Ok(None) => {
+                            evicted.push((d, addr));
+                            break;
+                        }
+                        Err(e) => {
+                            found[d] = Some(Err(e));
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        heads
+            .into_iter()
+            .zip(found)
+            .map(|(head, newest)| {
+                newest
+                    .expect("every chain resolved")
+                    .map(|newest| ChainLookup { head, newest })
+            })
+            .collect()
+    }
+
+    /// Read a contiguous range of the key-sorted batch order: one shared chain
+    /// walk over its distinct keys, each value fanned out to the duplicate
+    /// occurrences. The caller must hold epoch protection. Returns
+    /// `(original position, result)` pairs.
     fn read_sorted_range(
         &self,
         keys: &[Key],
@@ -402,114 +517,25 @@ impl FasterKv {
             spans.push((pos, end));
             pos = end;
         }
+        let distinct: Vec<Key> = spans.iter().map(|&(start, _)| keys[order[start]]).collect();
 
-        // Walk every distinct key's chain; `resolved[d]` is the final result
-        // of distinct key `d` (Ok(None) = absent or tombstoned).
-        let mut resolved: Vec<Option<StorageResult<Option<Vec<u8>>>>> =
-            spans.iter().map(|_| None).collect();
-        let mut pending: Vec<(usize, Address)> = spans
-            .iter()
-            .enumerate()
-            .map(|(d, &(start, _))| (d, self.index.head(keys[order[start]])))
-            .collect();
-        let mut inflight: Option<(Vec<usize>, crate::hlog::PendingRecords<'_>)> = None;
-        // Cursors whose frame lookup already missed: they go to the device
-        // unconditionally next round. Classifying them by `head` again would
-        // lose the progress guarantee — during an eviction the frame is
-        // repointed before `head` advances, so a head-based re-check could
-        // bounce such an address back to the memory walk indefinitely
-        // (a device read is always safe: frames are flushed before reuse).
-        let mut evicted: Vec<(usize, Address)> = Vec::new();
-        while !pending.is_empty() || !evicted.is_empty() || inflight.is_some() {
-            // Classify this round's chain cursors: ended chains resolve as
-            // absent, addresses already below the in-memory head go to the
-            // device now, the rest walk memory while that scatter is in
-            // flight.
-            let head = self.log.head();
-            let mut disk: Vec<(usize, Address)> = std::mem::take(&mut evicted);
-            let mut mem: Vec<(usize, Address)> = Vec::new();
-            for (d, addr) in pending.drain(..) {
-                if addr.is_invalid() {
-                    resolved[d] = Some(Ok(None));
-                } else if addr.raw() < head.raw() {
-                    disk.push((d, addr));
-                } else {
-                    mem.push((d, addr));
-                }
-            }
-            // Submit the device round first: its merged reads overlap each
-            // other (and this worker's memory phase) under the async backend.
-            let submitted = if disk.is_empty() {
-                None
-            } else {
-                let addrs: Vec<Address> = disk.iter().map(|&(_, addr)| addr).collect();
-                let ds: Vec<usize> = disk.iter().map(|&(d, _)| d).collect();
-                Some((ds, self.log.submit_records_from_disk(addrs)))
-            };
-            // Memory phase: follow each resident chain until it resolves or
-            // leaves the in-memory window (then it joins the next round's
-            // scatter).
-            for (d, mut addr) in mem {
-                let key = keys[order[spans[d].0]];
-                loop {
-                    if addr.is_invalid() {
-                        resolved[d] = Some(Ok(None));
-                        break;
-                    }
-                    match self.log.read_record_memory(addr) {
-                        Ok(Some((record, source))) => {
-                            if record.flags.is_valid() && record.key == key {
-                                resolved[d] = Some(Ok((!record.is_tombstone()).then(|| {
-                                    match source {
-                                        ReadSource::Disk => {
-                                            self.metrics.record_disk_read(record.value.len() as u64)
-                                        }
-                                        _ => self.metrics.record_mem_hit(),
-                                    }
-                                    record.value
-                                })));
-                                break;
-                            }
-                            addr = record.prev;
-                        }
-                        Ok(None) => {
-                            evicted.push((d, addr));
-                            break;
-                        }
-                        Err(e) => {
-                            resolved[d] = Some(Err(e));
-                            break;
-                        }
-                    }
-                }
-            }
-            // Harvest the previous round's scatter; hops re-enter `pending`
-            // for the next round's classification.
-            if let Some((ds, scatter)) = inflight.take() {
-                for (d, record) in ds.into_iter().zip(scatter.wait()) {
-                    let key = keys[order[spans[d].0]];
-                    match record {
-                        Ok(record) if record.flags.is_valid() && record.key == key => {
-                            resolved[d] = Some(Ok((!record.is_tombstone()).then(|| {
-                                self.metrics.record_disk_read(record.value.len() as u64);
-                                record.value
-                            })));
-                        }
-                        Ok(record) => pending.push((d, record.prev)),
-                        Err(e) => resolved[d] = Some(Err(e)),
-                    }
-                }
-            }
-            inflight = submitted;
-        }
-
-        // Fan each distinct key's result out to its duplicate occurrences.
         let mut out = Vec::with_capacity(order.len());
-        for (d, &(start, end)) in spans.iter().enumerate() {
-            let result = resolved[d].take().expect("every chain resolved");
-            if matches!(result, Ok(None)) {
-                self.metrics.record_miss();
-            }
+        for (&(start, end), lookup) in spans.iter().zip(self.walk_chains(&distinct)) {
+            let result = lookup.map(|lookup| match lookup.newest {
+                Some((_, record, source)) if !record.is_tombstone() => {
+                    match source {
+                        ReadSource::Disk => {
+                            self.metrics.record_disk_read(record.value.len() as u64)
+                        }
+                        _ => self.metrics.record_mem_hit(),
+                    }
+                    Some(record.value)
+                }
+                _ => {
+                    self.metrics.record_miss();
+                    None
+                }
+            });
             for &slot in &order[start..end] {
                 out.push((
                     slot,
@@ -798,23 +824,36 @@ impl KvStore for FasterKv {
     }
 
     fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {
-        // One epoch enter/exit covers the whole look-ahead batch (the per-key
-        // path paid it per call). Phase 1 walks each distinct key's chain once
-        // and keeps only live disk-resident records; phase 2 copies them to
-        // the tail in log-address order, so the appends (and the flushes they
-        // trigger) follow the on-device layout instead of request order. Each
-        // copy installs only if its chain head is still the one observed in
-        // phase 1: a key written concurrently (the batch holds values across
-        // its whole run) keeps the writer's value and the promotion is
-        // dropped — it was only a hint.
-        let _guard = self.epoch.acquire();
+        // Phase 1 is the read path's batched chain walk over the distinct
+        // keys, fanned across the executor exactly like `multi_get`, keeping
+        // only live disk-resident records. Phase 2 copies them to the tail in
+        // log-address order, so the appends (and the flushes they trigger)
+        // follow the on-device layout instead of request order. Each copy
+        // installs only if its chain head is still the one observed in phase
+        // 1: a key written concurrently keeps the writer's value and the
+        // promotion is dropped — it was only a hint.
         let mut unique: Vec<Key> = keys.to_vec();
         unique.sort_unstable();
         unique.dedup();
+        let workers = self.executor.planned_workers(unique.len());
+        let jobs: Vec<_> = unique
+            .chunks(unique.len().div_ceil(workers).max(1))
+            .map(|range| {
+                move || {
+                    let _guard = self.epoch.acquire();
+                    self.walk_chains(range)
+                }
+            })
+            .collect();
+        let lookups = self
+            .executor
+            .execute(jobs, unique.len())
+            .into_iter()
+            .flatten();
         let mut candidates: Vec<(Address, Key, Vec<u8>, Address)> = Vec::new();
-        for key in unique {
-            let head = self.index.head(key);
-            match self.find_from(head, key)? {
+        for (&key, lookup) in unique.iter().zip(lookups) {
+            let ChainLookup { head, newest } = lookup?;
+            match newest {
                 Some((addr, record, ReadSource::Disk)) if !record.is_tombstone() => {
                     candidates.push((addr, key, record.value, head));
                 }
@@ -826,27 +865,25 @@ impl KvStore for FasterKv {
             }
         }
         candidates.sort_unstable_by_key(|(addr, _, _, _)| *addr);
+        let _guard = self.epoch.acquire();
         let mut promoted = 0;
-        for (addr, key, value, mut head) in candidates {
+        for (_, key, value, mut head) in candidates {
             // The bucket head may have moved since phase 1 — most commonly
             // because an earlier promotion in *this very batch* shares the
-            // hash bucket. That is not a conflict on this key: re-walk from
-            // the current head, and as long as `addr` is still the key's
-            // newest record (no writer replaced it), retry the install
-            // against the fresh head. Only a genuine write to the key drops
-            // its promotion.
+            // hash bucket. That is not a conflict on this key: as long as no
+            // record of the key was installed since (so `addr` is still its
+            // newest), retry the install against the fresh head. Only a
+            // genuine write to the key drops its promotion.
             loop {
                 let current = self.index.head(key);
                 if current != head {
-                    match self.find_from(current, key)? {
-                        Some((newest, _, _)) if newest == addr => head = current,
-                        _ => {
-                            self.metrics.record_prefetch_skip();
-                            break;
-                        }
+                    if self.written_since(key, current, head)? {
+                        self.metrics.record_prefetch_skip();
+                        break;
                     }
+                    head = current;
                 }
-                if self.try_install_promotion(key, value.clone(), head)? {
+                if self.install(&Record::new(key, value.clone(), head))? {
                     self.metrics.record_prefetch_copy();
                     promoted += 1;
                     break;
@@ -910,7 +947,7 @@ mod tests {
     fn get_missing_key_is_not_found() {
         let store = FasterKv::in_memory(1 << 20).unwrap();
         assert!(store.get(99).unwrap_err().is_not_found());
-        assert!(!store.contains(99).unwrap());
+        assert!(!store.exists(99).unwrap());
     }
 
     #[test]
@@ -1162,7 +1199,7 @@ mod tests {
         assert_eq!(source, ReadSource::Disk);
         store.put(0, &[9u8; 64]).unwrap();
         assert!(
-            !store.try_install_promotion(0, record.value, head).unwrap(),
+            !store.install(&Record::new(0, record.value, head)).unwrap(),
             "stale promotion must lose the head CAS"
         );
         assert_eq!(store.get(0).unwrap(), vec![9u8; 64], "update survived");
@@ -1467,6 +1504,75 @@ mod tests {
         assert!(wal_generations(&dir).is_empty(), "None mode must not log");
         assert_eq!(store.metrics().snapshot().wal_appends, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_rmw_never_loses_an_update() {
+        // Same-length updates take the in-place path; once the record turns
+        // read-only they take the append path. Either way no increment may
+        // be computed from a value another thread already replaced.
+        let store = Arc::new(FasterKv::in_memory(1 << 20).unwrap());
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for _ in 0..20_000 {
+                        store
+                            .rmw(1, &|cur| {
+                                let n =
+                                    cur.map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+                                (n + 1).to_le_bytes().to_vec()
+                            })
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let v = u64::from_le_bytes(store.get(1).unwrap().try_into().unwrap());
+        assert_eq!(v, 40_000);
+    }
+
+    #[test]
+    fn resizing_rmw_racing_in_place_rmw_never_loses_an_update() {
+        // One thread keeps the counter's length (in-place updates), the other
+        // toggles it between 8 and 16 bytes (every update appends). A resize
+        // must seal the record it compared, or an in-place increment landing
+        // between that compare and the resized append would be lost.
+        let store = Arc::new(FasterKv::in_memory(1 << 20).unwrap());
+        let bump = |resize: bool| {
+            move |cur: Option<&[u8]>| -> Vec<u8> {
+                let cur = cur.unwrap_or(&[0; 8]);
+                let n = u64::from_le_bytes(cur[..8].try_into().unwrap()) + 1;
+                let len = match (resize, cur.len()) {
+                    (false, len) => len,
+                    (true, 8) => 16,
+                    (true, _) => 8,
+                };
+                let mut v = n.to_le_bytes().to_vec();
+                v.resize(len, 0);
+                v
+            }
+        };
+        let threads: Vec<_> = [(false, 20_000), (true, 2_000)]
+            .into_iter()
+            .map(|(resize, rounds)| {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for _ in 0..rounds {
+                        store.rmw(1, &bump(resize)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let v = store.get(1).unwrap();
+        assert_eq!(u64::from_le_bytes(v[..8].try_into().unwrap()), 22_000);
+        assert_eq!(store.approximate_len(), 1);
     }
 
     #[test]

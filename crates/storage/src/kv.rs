@@ -139,6 +139,11 @@ pub trait KvStore: Send + Sync + 'static {
 
     /// Read-modify-write: apply `f` to the current value (or `None`) and store
     /// the result. Returns the new value.
+    ///
+    /// Concurrent calls on one key never lose an update, but `f` may run more
+    /// than once: an engine that loses a race with another writer discards
+    /// the result and applies `f` again to the newer value, so `f` should be
+    /// a pure function of its input.
     fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>>;
 
     /// Batched read-modify-write: for each position `i`, apply
@@ -197,8 +202,9 @@ pub trait KvStore: Send + Sync + 'static {
         }
     }
 
-    /// True when the key currently exists (alias of [`KvStore::exists`], kept
-    /// for API continuity).
+    /// Alias of [`KvStore::exists`]. Nothing in the workspace calls it; it
+    /// stays only so that out-of-tree wrappers which forward it still build.
+    /// Call `exists`.
     fn contains(&self, key: Key) -> StorageResult<bool> {
         self.exists(key)
     }

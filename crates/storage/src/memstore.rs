@@ -280,11 +280,11 @@ mod tests {
         let store = MemStore::new();
         store.put(1, b"one").unwrap();
         assert_eq!(store.get(1).unwrap(), b"one");
-        assert!(store.contains(1).unwrap());
+        assert!(store.exists(1).unwrap());
         assert_eq!(store.approximate_len(), 1);
         store.delete(1).unwrap();
         assert!(store.get(1).unwrap_err().is_not_found());
-        assert!(!store.contains(1).unwrap());
+        assert!(!store.exists(1).unwrap());
     }
 
     #[test]

@@ -170,9 +170,22 @@ impl DlrmTrainer {
             opts.lookahead_batches,
             opts.adaptive_lookahead && opts.prefetch != PrefetchMode::None,
         );
+        let announce = |batch: &[CtrSample]| {
+            let keys: Vec<u64> = batch
+                .iter()
+                .flat_map(|s| s.sparse_keys.iter().copied())
+                .collect();
+            issue_prefetch(&self.table, &keys, opts.prefetch);
+        };
+        // Pre-fill the window, announcing every batch but the first (which
+        // is gathered right away).
         let mut window: VecDeque<Vec<CtrSample>> = VecDeque::new();
-        for _ in 0..=lookahead.depth() {
-            window.push_back(generator.next_batch(opts.batch_size));
+        for i in 0..=lookahead.depth() {
+            let batch = generator.next_batch(opts.batch_size);
+            if i > 0 {
+                announce(&batch);
+            }
+            window.push_back(batch);
         }
 
         let mut breakdown = LatencyBreakdown::default();
@@ -191,11 +204,7 @@ impl DlrmTrainer {
             // drains or refills over the next few steps.
             while window.len() <= lookahead.depth() {
                 let future = generator.next_batch(opts.batch_size);
-                let future_keys: Vec<u64> = future
-                    .iter()
-                    .flat_map(|s| s.sparse_keys.iter().copied())
-                    .collect();
-                issue_prefetch(&self.table, &future_keys, opts.prefetch);
+                announce(&future);
                 window.push_back(future);
             }
             if (batch_idx + 1) % 8 == 0 {
@@ -340,6 +349,37 @@ mod tests {
                 ..TrainerOptions::default()
             },
         }
+    }
+
+    #[test]
+    fn lookahead_announces_the_whole_initial_window() {
+        let depth = 3;
+        let table = small_table(8);
+        let mut config = small_config();
+        config.options.prefetch = PrefetchMode::LookAhead;
+        config.options.lookahead_batches = depth;
+        config.options.adaptive_lookahead = false;
+        let mut trainer = DlrmTrainer::new(Arc::clone(&table), config.clone());
+        trainer.run(1).unwrap();
+
+        // Regenerate the batch stream (after the evaluation set): every batch
+        // but the first is announced, deduplicated per batch.
+        let mut generator = CriteoGenerator::new(config.criteo.clone());
+        generator.next_batch(config.options.eval_samples);
+        let mut expected = 0;
+        for batch in 0..=depth + 1 {
+            let mut keys: Vec<u64> = generator
+                .next_batch(config.options.batch_size)
+                .iter()
+                .flat_map(|s| s.sparse_keys.iter().copied())
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            if batch > 0 {
+                expected += keys.len() as u64;
+            }
+        }
+        assert_eq!(table.prefetch_stats().submitted, expected);
     }
 
     #[test]

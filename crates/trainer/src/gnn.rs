@@ -212,12 +212,27 @@ impl GnnTrainer {
             }
             batch
         };
+        let announce = |batch: &[(u64, Vec<u64>)]| {
+            let keys: Vec<u64> = batch
+                .iter()
+                .flat_map(|(node, neighbors)| {
+                    std::iter::once(*node).chain(neighbors.iter().copied())
+                })
+                .collect();
+            issue_prefetch(&self.table, &keys, opts.prefetch);
+        };
         let mut lookahead = AdaptiveLookahead::new(
             opts.lookahead_batches,
             opts.adaptive_lookahead && opts.prefetch != PrefetchMode::None,
         );
-        for _ in 0..=lookahead.depth() {
-            window.push_back(make_batch(&mut cursor));
+        // Pre-fill the window, announcing every batch but the first (which
+        // is gathered right away).
+        for i in 0..=lookahead.depth() {
+            let batch = make_batch(&mut cursor);
+            if i > 0 {
+                announce(&batch);
+            }
+            window.push_back(batch);
         }
 
         let mut breakdown = LatencyBreakdown::default();
@@ -231,13 +246,7 @@ impl GnnTrainer {
             // Refill to the adaptively tuned depth, announcing each new batch.
             while window.len() <= lookahead.depth() {
                 let future = make_batch(&mut cursor);
-                let keys: Vec<u64> = future
-                    .iter()
-                    .flat_map(|(node, neighbors)| {
-                        std::iter::once(*node).chain(neighbors.iter().copied())
-                    })
-                    .collect();
-                issue_prefetch(&self.table, &keys, opts.prefetch);
+                announce(&future);
                 window.push_back(future);
             }
             if (batch_idx + 1) % 8 == 0 {
@@ -376,6 +385,43 @@ mod tests {
                 ..TrainerOptions::default()
             },
         }
+    }
+
+    #[test]
+    fn lookahead_announces_the_whole_initial_window() {
+        let depth = 3;
+        let table = small_table();
+        let mut config = small_config(GnnModelKind::GraphSage);
+        config.options.prefetch = PrefetchMode::LookAhead;
+        config.options.lookahead_batches = depth;
+        config.options.adaptive_lookahead = false;
+        let mut trainer = GnnTrainer::new(Arc::clone(&table), config.clone());
+        trainer.run(1).unwrap();
+
+        // Regenerate the batch stream: every batch but the first is announced,
+        // deduplicated per batch.
+        let batch_size = config.options.batch_size;
+        let nodes = trainer
+            .graph
+            .training_nodes(batch_size, config.options.seed);
+        let mut cursor = 0;
+        let mut expected = 0;
+        for batch in 0..=depth + 1 {
+            let mut keys = Vec::new();
+            for _ in 0..batch_size {
+                let node = nodes[cursor % nodes.len()];
+                let visit = (cursor / nodes.len()) as u64;
+                cursor += 1;
+                keys.push(node);
+                keys.extend(trainer.graph.sample_neighbors(node, visit));
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            if batch > 0 {
+                expected += keys.len() as u64;
+            }
+        }
+        assert_eq!(table.prefetch_stats().submitted, expected);
     }
 
     #[test]

@@ -195,12 +195,25 @@ impl KgeTrainer {
             }
             batch
         };
+        let announce = |batch: &[(Triple, Vec<u64>)]| {
+            let keys: Vec<u64> = batch
+                .iter()
+                .flat_map(|(t, negs)| self.triple_keys(t, negs))
+                .collect();
+            issue_prefetch(&self.table, &keys, opts.prefetch);
+        };
         let mut lookahead = AdaptiveLookahead::new(
             opts.lookahead_batches,
             opts.adaptive_lookahead && opts.prefetch != PrefetchMode::None,
         );
-        for _ in 0..=lookahead.depth() {
-            batches.push_back(make_batch(&mut cursor, &mut rng));
+        // Pre-fill the window, announcing every batch but the first (which
+        // is gathered right away).
+        for i in 0..=lookahead.depth() {
+            let batch = make_batch(&mut cursor, &mut rng);
+            if i > 0 {
+                announce(&batch);
+            }
+            batches.push_back(batch);
         }
 
         let mut breakdown = LatencyBreakdown::default();
@@ -218,11 +231,7 @@ impl KgeTrainer {
                 && cursor < total_triples + lookahead.depth() * opts.batch_size
             {
                 let future = make_batch(&mut cursor, &mut rng);
-                let keys: Vec<u64> = future
-                    .iter()
-                    .flat_map(|(t, negs)| self.triple_keys(t, negs))
-                    .collect();
-                issue_prefetch(&self.table, &keys, opts.prefetch);
+                announce(&future);
                 batches.push_back(future);
             }
             if (batch_idx + 1) % 8 == 0 {
@@ -381,6 +390,42 @@ mod tests {
                 ..TrainerOptions::default()
             },
         }
+    }
+
+    #[test]
+    fn lookahead_announces_the_whole_initial_window() {
+        let depth = 3;
+        let table = small_table(16);
+        let mut config = small_config(KgeModelKind::DistMult);
+        config.options.prefetch = PrefetchMode::LookAhead;
+        config.options.lookahead_batches = depth;
+        config.options.adaptive_lookahead = false;
+        let mut trainer = KgeTrainer::new(Arc::clone(&table), config.clone());
+        // KGE generates no batch past `steps + depth`, so batch depth + 1 of
+        // the stream exists only from the second step on.
+        trainer.run(2).unwrap();
+
+        // Regenerate the batch stream: every batch but the first is announced,
+        // deduplicated per batch.
+        let (train, _) = trainer.graph.split(0.05);
+        let mut rng = SmallRng::seed_from_u64(config.options.seed);
+        let mut cursor = 0;
+        let mut expected = 0;
+        for batch in 0..=depth + 1 {
+            let mut keys = Vec::new();
+            for _ in 0..config.options.batch_size {
+                let t = train[cursor % train.len()];
+                cursor += 1;
+                let negs = trainer.graph.negative_tails(&t, config.negatives, &mut rng);
+                keys.extend(trainer.triple_keys(&t, &negs));
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            if batch > 0 {
+                expected += keys.len() as u64;
+            }
+        }
+        assert_eq!(table.prefetch_stats().submitted, expected);
     }
 
     #[test]

@@ -139,6 +139,38 @@ fn gather_racing_apply_gradients_loses_no_update_on_any_backend() {
     }
 }
 
+/// Two threads incrementing one counter through `KvStore::rmw` must end at
+/// the sum of their increments on every engine: the engine, not a caller's
+/// lock, makes each read-modify-write atomic.
+#[test]
+fn concurrent_rmw_loses_no_update_on_any_backend() {
+    const PER_THREAD: u64 = 20_000;
+    for kind in BackendKind::ALL {
+        let store = store_for(kind, 0);
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for _ in 0..PER_THREAD {
+                        store
+                            .rmw(7, &|cur| {
+                                let n =
+                                    cur.map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+                                (n + 1).to_le_bytes().to_vec()
+                            })
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let total = u64::from_le_bytes(store.get(7).unwrap().try_into().unwrap());
+        assert_eq!(total, 2 * PER_THREAD, "{}", kind.name());
+    }
+}
+
 #[test]
 fn parallel_batches_racing_each_other_converge_to_the_same_totals() {
     // Two updater threads, each applying a known number of gradients per key

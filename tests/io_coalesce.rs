@@ -11,8 +11,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use mlkv::{open_store, BackendKind};
+use mlkv_storage::kv::ReadSource;
 use mlkv_storage::{
-    Device, FileDevice, IoBackend, IoPlanner, MemDevice, ReadReq, SimLatencyDevice, StoreConfig,
+    Device, DeviceFactory, FailingDevice, FileDevice, IoBackend, IoPlanner, KvStore, MemDevice,
+    ReadReq, SimLatencyDevice, StoreConfig,
 };
 
 /// Base configuration of every cold-path equality test, with the CI matrix's
@@ -330,5 +332,61 @@ fn faster_cold_batch_results_survive_spills_and_large_values() {
     let b = per_record.multi_get(&keys);
     for (key, (x, y)) in keys.iter().zip(a.iter().zip(&b)) {
         assert_eq!(x.as_ref().ok(), y.as_ref().ok(), "key {key}");
+    }
+}
+
+/// FASTER's look-ahead promote shares `multi_get`'s batched chain walk: under
+/// the async backend a cold batch costs one read submission per chain-depth
+/// round, where a per-key walk would pay one device read per record hop.
+#[test]
+fn faster_multi_promote_submits_one_read_per_chain_depth_round() {
+    let counting = Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
+    let factory = {
+        let counting = Arc::clone(&counting);
+        DeviceFactory::new(move |name| {
+            Ok(if name == "hlog.dat" {
+                Arc::clone(&counting) as Arc<dyn Device>
+            } else {
+                Arc::new(MemDevice::new()) as Arc<dyn Device>
+            })
+        })
+    };
+    let store = mlkv_faster::FasterKv::open(
+        StoreConfig::in_memory()
+            .with_device_factory(factory)
+            .with_io_backend(IoBackend::Async)
+            .with_parallelism(1)
+            .with_memory_budget(16 << 10)
+            .with_page_size(1 << 10)
+            .with_index_buckets(1 << 16),
+    )
+    .unwrap();
+    for k in 0..2000u64 {
+        store.put(k, &[k as u8; 32]).unwrap();
+    }
+    // The oldest keys are on the device. A point read walks one key's chain
+    // with one device read per on-device hop: its device chain depth.
+    let keys: Vec<u64> = (0..150).collect();
+    let mut depth = 0;
+    for &k in &keys {
+        let before = counting.reads();
+        let read = store.get_traced(k).unwrap();
+        assert_eq!(read.source, ReadSource::Disk, "key {k} must start cold");
+        depth = depth.max(counting.reads() - before);
+    }
+
+    let before = counting.reads();
+    assert_eq!(store.multi_promote(&keys).unwrap(), keys.len());
+    let submissions = counting.reads() - before;
+    // A chain that starts in memory reaches the device one round late.
+    assert!(
+        (depth..=depth + 1).contains(&submissions),
+        "{submissions} read submissions for {} keys of device chain depth {depth}",
+        keys.len()
+    );
+    for &k in &keys {
+        let read = store.get_traced(k).unwrap();
+        assert_ne!(read.source, ReadSource::Disk, "key {k} still cold");
+        assert_eq!(read.value, vec![k as u8; 32]);
     }
 }

@@ -14,6 +14,7 @@ use mlkv::codec::{decode_vector, encode_vector};
 use mlkv::record_word::RecordWord;
 use mlkv::{open_store, BackendKind, EmbeddingTable};
 use mlkv_lsm::BloomFilter;
+use mlkv_storage::kv::ReadSource;
 use mlkv_storage::{KvStore, StoreConfig};
 
 /// A randomly generated key-value operation.
@@ -120,7 +121,7 @@ fn check_batch_matches_per_key(backend: BackendKind, present: &[u64], probes: &[
         }
         assert_eq!(
             batched.exists(*k).unwrap(),
-            per_key.contains(*k).unwrap(),
+            per_key.exists(*k).unwrap(),
             "{}: exists({k})",
             backend.name()
         );
@@ -203,6 +204,76 @@ fn check_table_batch_matches_per_key(backend: BackendKind, keys: &[u64], seed: u
     }
 }
 
+/// FASTER's `multi_promote` on a 16-bucket index (every chain collides
+/// heavily) with hot, cold, tombstoned, absent and duplicate keys in one
+/// batch: it promotes exactly the live disk-resident keys, changes no value,
+/// and leaves the promoted keys — and the keys already in the mutable region,
+/// which a batch's appends cannot push out of memory — readable without a
+/// device read. (Keys in the immutable in-memory region are skipped too, and
+/// the batch's appends may evict them: the paper promotes only from disk.)
+fn check_multi_promote(parallelism: usize, probes: &[u64], deleted: &[u64]) {
+    const KEYS: u64 = 4000;
+    let value_of = |k: u64| -> Vec<u8> { (0..32u64).map(|i| (k * 31 + i) as u8).collect() };
+    let store = mlkv_faster::FasterKv::open(
+        StoreConfig::in_memory()
+            .with_memory_budget(64 << 10)
+            .with_page_size(1 << 10)
+            .with_index_buckets(16)
+            .with_parallelism(parallelism),
+    )
+    .unwrap();
+    for k in 0..KEYS {
+        store.put(k, &value_of(k)).unwrap();
+    }
+    for &k in deleted {
+        store.delete(k).unwrap();
+    }
+    let mut unique = probes.to_vec();
+    unique.sort_unstable();
+    unique.dedup();
+    let mut live: Vec<(u64, Vec<u8>)> = Vec::new();
+    let (mut cold, mut resident) = (0, Vec::new());
+    for &k in &unique {
+        match store.get_traced(k) {
+            Ok(read) => {
+                match read.source {
+                    ReadSource::Disk => cold += 1,
+                    ReadSource::HotMemory => {}
+                    ReadSource::ColdMemory => {
+                        live.push((k, read.value));
+                        continue;
+                    }
+                }
+                resident.push((k, read.value.clone()));
+                live.push((k, read.value));
+            }
+            Err(e) => assert!(e.is_not_found(), "key {k}: {e}"),
+        }
+    }
+    assert!(live.iter().all(|(k, v)| *v == value_of(*k)));
+
+    let promoted = store.multi_promote(probes).unwrap();
+    assert_eq!(promoted, cold, "parallelism {parallelism}");
+
+    let resident_keys: Vec<u64> = resident.iter().map(|(k, _)| *k).collect();
+    let bytes_before = store.metrics().snapshot().disk_read_bytes;
+    let after = store.multi_get(&resident_keys);
+    assert_eq!(
+        store.metrics().snapshot().disk_read_bytes,
+        bytes_before,
+        "promoted keys must be memory-resident (parallelism {parallelism})"
+    );
+    for ((k, before), after) in resident.iter().zip(after) {
+        assert_eq!(&after.unwrap(), before, "key {k}");
+    }
+    for (k, result) in unique.iter().zip(store.multi_get(&unique)) {
+        match live.binary_search_by_key(k, |(key, _)| *key) {
+            Ok(i) => assert_eq!(result.unwrap(), live[i].1, "key {k}"),
+            Err(_) => assert!(result.unwrap_err().is_not_found(), "key {k}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -238,6 +309,16 @@ proptest! {
     ) {
         for backend in BackendKind::ALL {
             check_table_batch_matches_per_key(backend, &keys, seed);
+        }
+    }
+
+    #[test]
+    fn faster_multi_promote_promotes_exactly_the_cold_live_keys(
+        probes in proptest::collection::vec(0u64..4400, 200..500),
+        deleted in proptest::collection::vec(0u64..4000, 0..40),
+    ) {
+        for parallelism in [1, 4] {
+            check_multi_promote(parallelism, &probes, &deleted);
         }
     }
 
